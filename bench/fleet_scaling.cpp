@@ -54,10 +54,9 @@ wl::WorkloadSpec fleet_node_spec() {
 }
 
 struct NodeSample {
-    std::uint64_t events = 0;        ///< engine events this node executed
-    std::uint64_t batched_pops = 0;  ///< timer-wheel batched dispatches
-    std::size_t arena_bytes = 0;     ///< arena footprint at teardown
-    cluster::NodeTrace trace;        ///< superstep trace for the scale model
+    std::uint64_t events = 0;     ///< engine events this node executed
+    std::size_t arena_bytes = 0;  ///< arena footprint at teardown
+    cluster::NodeTrace trace;     ///< superstep trace for the scale model
 };
 
 /// One fleet point: `nodes` detailed trials fanned across the pool, each
@@ -66,7 +65,6 @@ struct NodeSample {
 struct FleetPoint {
     int nodes = 0;
     std::uint64_t total_events = 0;
-    std::uint64_t total_batched_pops = 0;
     double mean_bytes_per_node = 0.0;
     cluster::ScaleResult projection;
     double wall_s = 0.0;  ///< detailed-trial phase only (excluded from witness)
@@ -94,7 +92,6 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
             const sim::SimTime start = node.platform().engine().now();
             (void)node.run_workload(w);
             out.events = node.platform().engine().events_executed();
-            out.batched_pops = node.platform().engine().timer_batched_pops();
             out.trace = cluster::trace_from_step_times(
                 w.step_completion_times(), start);
         }
@@ -115,7 +112,6 @@ FleetPoint run_fleet(core::ThreadPool& pool, int nodes,
     double bytes_sum = 0.0;
     for (auto& s : samples) {
         pt.total_events += s.events;
-        pt.total_batched_pops += s.batched_pops;
         bytes_sum += static_cast<double>(s.arena_bytes);
         traces.push_back(std::move(s.trace));
     }
@@ -148,11 +144,10 @@ SweepRun run_sweep(int jobs, const std::vector<int>& counts,
     for (const FleetPoint& pt : run.points) {
         char line[256];
         std::snprintf(line, sizeof line,
-                      "nodes=%d events=%llu batched_pops=%llu bytes/node=%.1f "
+                      "nodes=%d events=%llu bytes/node=%.1f "
                       "eff=%.6f step_us=%.4f\n",
                       pt.nodes,
                       static_cast<unsigned long long>(pt.total_events),
-                      static_cast<unsigned long long>(pt.total_batched_pops),
                       pt.mean_bytes_per_node, pt.projection.efficiency,
                       pt.projection.mean_step_us);
         w << line;
@@ -222,8 +217,6 @@ int main(int argc, char** argv) {
         report.add(tag + ".bytes_per_node", pt.mean_bytes_per_node, 0.0, 1);
         report.add(tag + ".efficiency", pt.projection.efficiency, 0.0, 1);
         report.add(tag + ".step_us", pt.projection.mean_step_us, 0.0, 1);
-        report.add(tag + ".batched_pops",
-                   static_cast<double>(pt.total_batched_pops), 0.0, 1);
         total_events += pt.total_events;
         total_wall += pt.wall_s;
     }

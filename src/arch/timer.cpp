@@ -14,10 +14,10 @@ void GenericTimer::set_deadline(TimerChannel ch, sim::SimTime deadline) {
     c.deadline = deadline;
     c.armed = true;
     // A deadline in the past fires immediately (condition already met).
-    // Timer deadlines are the periodic tick storm — they go on the batched
-    // timer wheel, not the heap queue (same dispatch order, cheaper re-arm).
+    // Re-arms cancel the previous deadline above; the queue removes it
+    // eagerly, so the tick storm leaves no tombstones behind.
     const sim::SimTime when = std::max(deadline, engine_->now());
-    c.event = engine_->at_timer(when, [this, ch] { fire(ch); }, sim::kPrioInterrupt);
+    c.event = engine_->at(when, [this, ch] { fire(ch); }, sim::kPrioInterrupt);
 }
 
 void GenericTimer::cancel(TimerChannel ch) {

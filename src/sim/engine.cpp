@@ -6,66 +6,36 @@ namespace hpcsec::sim {
 
 EventId Engine::at(SimTime when, EventFn fn, int priority) {
     if (when < now_) throw std::logic_error("Engine::at: scheduling in the past");
-    return queue_.schedule(when, priority, std::move(fn), next_order_++);
+    return queue_.schedule(when, priority, std::move(fn));
 }
 
 EventId Engine::after(Cycles delay, EventFn fn, int priority) {
-    return queue_.schedule(now_ + delay, priority, std::move(fn), next_order_++);
-}
-
-EventId Engine::at_timer(SimTime when, EventFn fn, int priority) {
-    if (when < now_) {
-        // sca-suppress(no-throw-guest-path): unreachable from guest-driven
-        // callers — GenericTimer::set_deadline clamps the deadline to now()
-        // before arming. A past deadline here is host-code misuse.
-        throw std::logic_error("Engine::at_timer: scheduling in the past");
-    }
-    return wheel_.schedule(when, priority, std::move(fn), next_order_++, now_);
+    return queue_.schedule(now_ + delay, priority, std::move(fn));
 }
 
 void Engine::dispatch_one() {
-    // Merge the heap queue and the timer wheel by the shared
-    // (when, priority, order) key: identical dispatch order to a single
-    // queue, bit-for-bit.
-    const EventQueue::Key qk = queue_.next_key();
-    const TimerWheel::Key wk = wheel_.next_key();
-    SimTime when;
-    int priority;
-    EventFn fn;
-    if (wk < qk) {
-        auto popped = wheel_.pop();
-        when = popped.when;
-        priority = popped.priority;
-        fn = std::move(popped.fn);
-    } else {
-        auto popped = queue_.pop();
-        when = popped.when;
-        priority = popped.priority;
-        fn = std::move(popped.fn);
-    }
-    now_ = when;
+    auto popped = queue_.pop();
+    now_ = popped.when;
     ++executed_;
     auto it = by_priority_.begin();
-    for (; it != by_priority_.end() && it->priority < priority; ++it) {}
-    if (it == by_priority_.end() || it->priority != priority) {
-        it = by_priority_.insert(it, {priority, 0});
+    for (; it != by_priority_.end() && it->priority < popped.priority; ++it) {}
+    if (it == by_priority_.end() || it->priority != popped.priority) {
+        it = by_priority_.insert(it, {popped.priority, 0});
     }
     ++it->executed;
-    if (probe_ != nullptr) [[unlikely]] probe_->on_dispatch(now_, priority);
-    fn();
+    if (probe_ != nullptr) [[unlikely]] probe_->on_dispatch(now_, popped.priority);
+    popped.fn();
 }
 
 void Engine::run() {
     stopped_ = false;
-    while (!stopped_ && (!queue_.empty() || !wheel_.empty())) dispatch_one();
+    while (!stopped_ && !queue_.empty()) dispatch_one();
 }
 
 void Engine::run_until(SimTime deadline) {
     stopped_ = false;
     while (!stopped_) {
-        const SimTime qnext = queue_.next_time();
-        const SimTime wnext = wheel_.next_key().when;
-        const SimTime next = qnext < wnext ? qnext : wnext;
+        const SimTime next = queue_.next_time();
         if (next == kTimeNever || next > deadline) break;
         dispatch_one();
     }

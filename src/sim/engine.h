@@ -11,7 +11,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
-#include "sim/timer_wheel.h"
 
 namespace hpcsec::sim {
 
@@ -42,19 +41,7 @@ public:
     EventId at(SimTime when, EventFn fn, int priority = kPrioDefault);
     EventId after(Cycles delay, EventFn fn, int priority = kPrioDefault);
 
-    /// Schedule a periodic-cadence event (timer re-arms, heartbeats,
-    /// watchdog ticks) on the batched timer wheel instead of the heap
-    /// queue. Dispatch order is identical to at() — both sources share one
-    /// insertion counter and merge by (when, priority, order) — but N cores
-    /// re-arming the same cadence cost one wheel-slot batch instead of N
-    /// heap sifts. Use for events that recur on a fixed cadence; one-shot
-    /// aperiodic events belong on at().
-    EventId at_timer(SimTime when, EventFn fn, int priority = kPrioInterrupt);
-
-    bool cancel(EventId id) {
-        return (id.seq & TimerWheel::kHandleFlag) != 0 ? wheel_.cancel(id)
-                                                       : queue_.cancel(id);
-    }
+    bool cancel(EventId id) { return queue_.cancel(id); }
 
     /// Run until the queue drains or `stop()` is called.
     void run();
@@ -68,14 +55,10 @@ public:
 
     [[nodiscard]] bool stopped() const { return stopped_; }
     [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-    [[nodiscard]] std::size_t pending_events() const {
-        return queue_.size() + wheel_.size();
-    }
+    [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
-    /// Wheel pops served from a pre-sorted batch in O(1) (heap work elided).
-    [[nodiscard]] std::uint64_t timer_batched_pops() const {
-        return wheel_.batched_pops();
-    }
+    /// Always 0; kept only because perfbench/common.cpp still calls it.
+    [[nodiscard]] std::uint64_t timer_batched_pops() const { return 0; }
 
     /// Events executed per priority level, sorted by priority. The list is
     /// tiny (one entry per distinct Priority value used), so lookups are a
@@ -97,8 +80,6 @@ private:
 
     ClockSpec clock_;
     EventQueue queue_;
-    TimerWheel wheel_;
-    std::uint64_t next_order_ = 1;  ///< shared across queue_ and wheel_
     SimTime now_ = 0;
     bool stopped_ = false;
     std::uint64_t executed_ = 0;

@@ -6,11 +6,12 @@
 // Implementation: a slab of recycled entries indexed by a 4-ary heap. The
 // hot path (schedule/pop tens of millions of times per trial) does no
 // per-event container allocation once the slab is warm: scheduling reuses a
-// free slot, popping moves the callback out, and cancellation is O(1) — it
-// flips a flag on the slab entry addressed by the handle (no tombstone hash
-// sets, no heap fix-up; cancelled entries are skimmed off lazily when they
-// reach the top). The 4-ary layout halves the tree depth of a binary heap
-// and keeps children of a node on one cache line of indices.
+// free slot, popping moves the callback out. Every entry records its heap
+// position, so cancellation removes the entry from the heap on the spot
+// (O(log n)) instead of leaving a tombstone: timer re-arms cancel a large
+// share of everything scheduled, and tombstones would inflate the heap that
+// every later sift walks. The 4-ary layout halves the tree depth of a binary
+// heap and keeps children of a node on one cache line of indices.
 #pragma once
 
 #include <cstdint>
@@ -33,46 +34,23 @@ using EventFn = std::function<void()>;
 
 class EventQueue {
 public:
-    /// The engine-wide dispatch order: lexicographic (when, priority,
-    /// insertion order). Shared with TimerWheel so the two event sources
-    /// merge into one deterministic total order.
-    struct Key {
-        SimTime when = kTimeNever;
-        int priority = 0;
-        std::uint64_t order = 0;
-        [[nodiscard]] bool operator<(const Key& o) const {
-            if (when != o.when) return when < o.when;
-            if (priority != o.priority) return priority < o.priority;
-            return order < o.order;
-        }
-    };
-
     /// Lower `priority` runs first among events with equal timestamps.
     /// Ties break by an internally assigned insertion sequence.
     EventId schedule(SimTime when, int priority, EventFn fn);
-
-    /// Same, with a caller-supplied insertion sequence — the engine passes
-    /// its shared counter here so queue and timer-wheel events interleave
-    /// exactly as if they lived in one queue. Orders must be unique and
-    /// increasing across calls; mixing with the self-ordering overload on
-    /// one queue is a caller bug.
-    EventId schedule(SimTime when, int priority, EventFn fn, std::uint64_t order);
 
     /// Cancel a pending event. Returns false if it already ran or was
     /// cancelled (cancelling an invalid id is a harmless no-op).
     bool cancel(EventId id);
 
-    [[nodiscard]] bool empty() const { return live_ == 0; }
-    [[nodiscard]] std::size_t size() const { return live_; }
+    [[nodiscard]] bool empty() const { return heap_.empty(); }
+    [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-    /// Timestamp of the next live event; kTimeNever when empty.
-    [[nodiscard]] SimTime next_time();
+    /// Timestamp of the next event; kTimeNever when empty.
+    [[nodiscard]] SimTime next_time() const {
+        return heap_.empty() ? kTimeNever : slab_[heap_[0]].when;
+    }
 
-    /// Full dispatch key of the next live event; when == kTimeNever if
-    /// empty. Used by the engine to merge with the timer wheel.
-    [[nodiscard]] Key next_key();
-
-    /// Pop and return the next live event. Precondition: !empty().
+    /// Pop and return the next event. Precondition: !empty().
     struct Popped {
         SimTime when;
         int priority;
@@ -95,7 +73,7 @@ private:
         std::uint64_t id = 0;     ///< composite handle; 0 while the slot is free
         EventFn fn;
         int priority = 0;
-        bool cancelled = false;
+        std::uint32_t pos = 0;    ///< index in heap_ while scheduled
     };
 
     [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
@@ -106,16 +84,19 @@ private:
         return ea.order < eb.order;
     }
 
+    void place(std::size_t pos, std::uint32_t slot) {
+        heap_[pos] = slot;
+        slab_[slot].pos = static_cast<std::uint32_t>(pos);
+    }
     void sift_up(std::size_t pos);
     void sift_down(std::size_t pos);
-    void remove_top();
-    void skim_cancelled();
+    /// Free the entry at heap index `pos` and restore the heap property.
+    void remove_at(std::size_t pos);
 
     std::vector<Entry> slab_;
     std::vector<std::uint32_t> heap_;  ///< slab indices, 4-ary min-heap
     std::vector<std::uint32_t> free_;  ///< recycled slab slots
     std::uint64_t next_order_ = 1;
-    std::size_t live_ = 0;
 };
 
 }  // namespace hpcsec::sim

@@ -41,7 +41,14 @@ def finding_lines(stdout: str) -> list[str]:
 
 def check_fixture(case: Path, failures: list[str]) -> None:
     rule_id = case.name.split(".")[0]
-    expected = [l for l in (case / "expected.txt").read_text().splitlines()
+    inputs = [p for p in case.rglob("*")
+              if p.is_file() and p.name != "expected.txt"]
+    if not inputs:
+        failures.append(
+            f"{case.name}: fixture holds no input files besides expected.txt "
+            f"(is a .gitignore pattern hiding them from the checkout?)")
+        return
+    expected =[l for l in (case / "expected.txt").read_text().splitlines()
                 if l.strip()]
     r = run_sca(["--root", str(case), "--rules", rule_id])
     got = finding_lines(r.stdout)

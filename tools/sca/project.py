@@ -102,8 +102,8 @@ DEFAULTS: dict = {
         "pop_back", "reserve", "resize", "get", "reset", "str", "c_str",
         "data", "swap", "contains", "value", "reason", "what", "first",
         "second", "min", "max", "move", "forward", "to_string",
-        # `schedule` exists on EventQueue, TimerWheel and ChaosInjector;
-        # name-matching would weld those class graphs together.
+        # `schedule` exists on EventQueue and ChaosInjector; name-matching
+        # would weld those class graphs together.
         "schedule",
         # `add` exists on RunningStats, LogHistogram, Sample, BenchReport
         # and MetricsAggregate; the hot-path observe() only ever reaches
@@ -125,7 +125,7 @@ DEFAULTS: dict = {
     # std::function seams the name matcher cannot see: event closures the
     # engine dispatches and the per-core IRQ handler registration.
     "hot_path_extra_edges": [
-        # engine events: timer deadlines are at_timer closures over fire().
+        # engine events: timer deadlines are Engine::at closures over fire().
         ["dispatch_one", "GenericTimer::fire"],
         # Core::signal_irq invokes the registered IrqHandler std::function.
         ["signal_irq", "Spm::handle_phys_irq"],
