@@ -22,8 +22,10 @@ class EventQueueOracle : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EventQueueOracle, MatchesReferenceOrdering) {
     sim::Rng rng(GetParam());
     sim::EventQueue q;
-    // Reference: ordered by (time, priority, seq).
-    std::map<std::tuple<sim::SimTime, int, std::uint64_t>, int> ref;
+    // Reference: ordered by (time, priority, seq) -> (payload, handle).
+    std::map<std::tuple<sim::SimTime, int, std::uint64_t>,
+             std::pair<int, std::uint64_t>> ref;
+    // Every handle ever issued; popped and cancelled ones stay as stale ids.
     std::map<std::uint64_t, std::tuple<sim::SimTime, int, std::uint64_t>> by_seq;
     std::vector<int> fired;
     int next_payload = 0;
@@ -37,23 +39,29 @@ TEST_P(EventQueueOracle, MatchesReferenceOrdering) {
             const int payload = next_payload++;
             const sim::EventId id =
                 q.schedule(when, prio, [payload, &fired] { fired.push_back(payload); });
-            ref[{when, prio, ++seq}] = payload;
+            ref[{when, prio, ++seq}] = {payload, id.seq};
             by_seq[id.seq] = {when, prio, seq};
-        } else if (dice < 0.75 && !by_seq.empty()) {
-            // Cancel a random still-tracked event.
+        } else if (dice < 0.62 && !ref.empty()) {
+            // Cancel the current top (heap index 0).
+            EXPECT_TRUE(q.cancel(sim::EventId{ref.begin()->second.second}));
+            ref.erase(ref.begin());
+        } else if (dice < 0.80 && !by_seq.empty()) {
+            // Cancel a random handle: pending mid-heap, or stale.
             auto it = by_seq.begin();
             std::advance(it, static_cast<long>(rng.next_below(by_seq.size())));
             const bool cancelled = q.cancel(sim::EventId{it->first});
             const bool in_ref = ref.erase(it->second) > 0;
             EXPECT_EQ(cancelled, in_ref);
-            by_seq.erase(it);
         } else if (!q.empty()) {
             // Pop one; reference pops its minimum.
             fired.clear();
-            q.pop().fn();
+            sim::EventQueue::Popped p = q.pop();
             ASSERT_FALSE(ref.empty());
+            EXPECT_EQ(p.when, std::get<0>(ref.begin()->first));
+            EXPECT_EQ(p.priority, std::get<1>(ref.begin()->first));
+            p.fn();
             EXPECT_EQ(fired.size(), 1u);
-            EXPECT_EQ(fired[0], ref.begin()->second);
+            EXPECT_EQ(fired[0], ref.begin()->second.first);
             ref.erase(ref.begin());
         }
         EXPECT_EQ(q.size(), ref.size());
