@@ -16,8 +16,8 @@ void Executor::charge(sim::Cycles overhead) {
     const sim::SimTime start = std::max(busy_until_, engine_->now());
     busy_until_ = start + overhead;
     usage_.overhead += overhead;
-    if (timeline_ != nullptr) {
-        timeline_->record(core_, start, busy_until_, 'O', "kernel");
+    if (recorder_ != nullptr && overhead > 0) {
+        recorder_->span(start, busy_until_, obs::EventType::kOverhead, core_);
     }
     if (state_ == State::kPendingBegin) {
         // Push the pending start out past the new charge.
@@ -104,13 +104,6 @@ Runnable* Executor::preempt() {
             const double units = static_cast<double>(effective) / rate_;
             if (units > 0.0) r->advance(units, now);
             if (now > chunk_start_) r->on_interval(chunk_start_, now);
-            if (timeline_ != nullptr && now > chunk_start_) {
-                const sim::SimTime split = chunk_start_ + transient_used;
-                if (transient_used > 0) {
-                    timeline_->record(core_, chunk_start_, split, 'T', "tlb-refill");
-                }
-                if (now > split) timeline_->record(core_, split, now, 'W', r->label());
-            }
             if (now > chunk_start_) observe_chunk(chunk_start_ + transient_used, now);
             current_ = nullptr;
             state_ = State::kIdle;
@@ -122,8 +115,11 @@ Runnable* Executor::preempt() {
 }
 
 void Executor::observe_chunk(sim::SimTime split, sim::SimTime now) {
-    if (recorder_ != nullptr && now > split) {
-        recorder_->span(split, now, obs::EventType::kWorkChunk, core_);
+    if (recorder_ != nullptr) {
+        if (split > chunk_start_) {
+            recorder_->span(chunk_start_, split, obs::EventType::kTlbRefill, core_);
+        }
+        if (now > split) recorder_->span(split, now, obs::EventType::kWorkChunk, core_);
     }
     if (metrics_ != nullptr) {
         metrics_->observe(chunk_hist_,
@@ -165,15 +161,6 @@ void Executor::finish_chunk() {
     chunk_transient_ = 0;
     if (profiler_ != nullptr) [[unlikely]] {
         profile_walk(current_, transient_used, elapsed - transient_used);
-    }
-    if (timeline_ != nullptr && now > chunk_start_) {
-        const sim::SimTime split = chunk_start_ + transient_used;
-        if (transient_used > 0) {
-            timeline_->record(core_, chunk_start_, split, 'T', "tlb-refill");
-        }
-        if (now > split) {
-            timeline_->record(core_, split, now, 'W', current_->label());
-        }
     }
     if (now > chunk_start_) observe_chunk(chunk_start_ + transient_used, now);
 

@@ -107,7 +107,6 @@ Platform::Platform(PlatformConfig config, std::uint64_t seed)
     ops_ = &IsaOps::get(config_.isa);
     irqc_ = ops_->make_irq_controller(config_.ncores);
     obs_.recorder.set_mask(config_.obs_mask);
-    obs_.recorder.set_mirror(&trace_);
     if (config_.profile) {
         obs_.profiler.enable(config_.ncores);
         engine_.set_dispatch_probe(&obs_.profiler);

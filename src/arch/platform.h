@@ -25,7 +25,6 @@
 #include "sim/arena.h"
 #include "sim/engine.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
 
 namespace hpcsec::arch {
 
@@ -86,7 +85,6 @@ public:
     /// Arena backing the platform's long-lived objects (cores, and the
     /// SPM's VMs/VCPUs/grants above this layer).
     sim::Arena& arena() { return *arena_; }
-    sim::TraceLog& trace() { return trace_; }
     obs::Obs& obs() { return obs_; }
     obs::MetricsRegistry& metrics() { return obs_.metrics; }
     obs::SpanRecorder& recorder() { return obs_.recorder; }
@@ -132,7 +130,6 @@ private:
     PlatformConfig config_;
     sim::Engine engine_;
     sim::Rng rng_;
-    sim::TraceLog trace_;
     obs::Obs obs_;
     MemoryMap mem_;
     // Own arena declared before everything holding arena-backed objects:

@@ -1,9 +1,9 @@
 // Structured telemetry event vocabulary.
 //
 // Every observable action in the stack is an enum type plus up to three
-// numeric arguments — no strings are built on the hot path. Categories
-// mirror sim::TraceCat bit-for-bit so a structured event can be mirrored
-// into the legacy TraceLog (substring-assert tests) without remapping.
+// numeric arguments — no strings are built on the hot path. Category bits
+// gate recording and select what the Perfetto exporter and the timeline
+// renderer see.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,8 @@ enum class EventType : std::uint8_t {
     kVmRun,         ///< a0 = vm id, a1 = vcpu index, a2 = ExitReason
     kWorkChunk,     ///< a0 = reserved
     kDetour,        ///< a0 = thread index
+    kOverhead,      ///< kernel/hypervisor charge on a core (Executor::charge)
+    kTlbRefill,     ///< TLB-refill transient at the start of a work chunk
     // Instants (end == start).
     kVmExit,        ///< a0 = vm id, a1 = vcpu index, a2 = ExitReason
     kIrqDeliver,    ///< a0 = irq, a1 = IrqDestination
@@ -65,7 +67,7 @@ enum class EventType : std::uint8_t {
     kContainAction, ///< a0 = resil::ContainmentPolicy step, a1 = vm id, a2 = detail
 };
 
-/// Stable lower-case name, used for trace export and TraceLog mirroring.
+/// Stable lower-case name, used for trace export.
 [[nodiscard]] const char* to_string(EventType t);
 
 [[nodiscard]] constexpr Category category_of(EventType t) {
@@ -86,7 +88,10 @@ enum class EventType : std::uint8_t {
         case EventType::kKernelTick:
         case EventType::kContextSwitch:
         case EventType::kNoisePreempt:
+        case EventType::kOverhead:
             return Category::kSched;
+        case EventType::kTlbRefill:
+            return Category::kMmu;
         case EventType::kCheckFail:
             return Category::kCheck;
         case EventType::kResilFault:

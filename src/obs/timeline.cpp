@@ -1,50 +1,54 @@
-#include "sim/timeline.h"
+#include "obs/timeline.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
-namespace hpcsec::sim {
+namespace hpcsec::obs {
 
-void Timeline::record(int core, SimTime start, SimTime end, char kind,
-                      std::string_view label) {
-    if (spans_.size() >= max_spans_ || end <= start) return;
-    // sca-suppress(hot-path-alloc): timeline capture is opt-in tracing,
-    // bounded by max_spans_; production nodes run with it detached.
-    spans_.push_back(Span{core, start, end, kind, std::string(label)});
+namespace {
+
+/// Weight slot per rendered span type; -1 for types the strip ignores.
+int glyph_index(EventType t) {
+    switch (t) {
+        case EventType::kWorkChunk: return 0;
+        case EventType::kOverhead: return 1;
+        case EventType::kTlbRefill: return 2;
+        default: return -1;
+    }
 }
 
-Cycles Timeline::total(char kind, int core, SimTime from, SimTime to) const {
-    Cycles sum = 0;
-    for (const auto& s : spans_) {
-        if (s.kind != kind || (core >= 0 && s.core != core)) continue;
-        const SimTime lo = std::max(s.start, from);
-        const SimTime hi = std::min(s.end, to);
+}  // namespace
+
+sim::Cycles span_cycles(const std::vector<Event>& events, EventType type,
+                        int core, sim::SimTime from, sim::SimTime to) {
+    sim::Cycles sum = 0;
+    for (const auto& e : events) {
+        if (e.type != type || (core >= 0 && e.core != core)) continue;
+        const sim::SimTime lo = std::max(e.start, from);
+        const sim::SimTime hi = std::min(e.end, to);
         if (hi > lo) sum += hi - lo;
     }
     return sum;
 }
 
-std::string Timeline::render(SimTime from, SimTime to, int ncores, int cols) const {
+std::string render_timeline(const std::vector<Event>& events, sim::SimTime from,
+                            sim::SimTime to, int ncores, int cols) {
     if (to <= from || cols <= 0 || ncores <= 0) return {};
     const double bucket =
         static_cast<double>(to - from) / static_cast<double>(cols);
 
-    // weight[core][col][kind-index]; kinds: 0 '#'(W), 1 'o'(O), 2 't'(T)
+    // weight[core][col][glyph_index]
     std::vector<std::vector<std::array<double, 3>>> weight(
         static_cast<std::size_t>(ncores),
         std::vector<std::array<double, 3>>(static_cast<std::size_t>(cols),
                                            {0.0, 0.0, 0.0}));
-    const auto kind_index = [](char k) {
-        switch (k) {
-            case 'W': return 0;
-            case 'O': return 1;
-            default: return 2;
-        }
-    };
-    for (const auto& s : spans_) {
-        if (s.core < 0 || s.core >= ncores || s.end <= from || s.start >= to) continue;
-        const SimTime lo = std::max(s.start, from);
-        const SimTime hi = std::min(s.end, to);
+    for (const auto& e : events) {
+        const int kind = glyph_index(e.type);
+        if (kind < 0) continue;
+        if (e.core < 0 || e.core >= ncores || e.end <= from || e.start >= to) continue;
+        const sim::SimTime lo = std::max(e.start, from);
+        const sim::SimTime hi = std::min(e.end, to);
         const int c0 = static_cast<int>(static_cast<double>(lo - from) / bucket);
         const int c1 = std::min(
             cols - 1, static_cast<int>(static_cast<double>(hi - 1 - from) / bucket));
@@ -54,8 +58,8 @@ std::string Timeline::render(SimTime from, SimTime to, int ncores, int cols) con
             const double overlap = std::min(static_cast<double>(hi), cell_hi) -
                                    std::max(static_cast<double>(lo), cell_lo);
             if (overlap > 0) {
-                weight[static_cast<std::size_t>(s.core)][static_cast<std::size_t>(c)]
-                      [static_cast<std::size_t>(kind_index(s.kind))] += overlap;
+                weight[static_cast<std::size_t>(e.core)][static_cast<std::size_t>(c)]
+                      [static_cast<std::size_t>(kind)] += overlap;
             }
         }
     }
@@ -86,4 +90,4 @@ std::string Timeline::render(SimTime from, SimTime to, int ncores, int cols) con
     return os.str();
 }
 
-}  // namespace hpcsec::sim
+}  // namespace hpcsec::obs

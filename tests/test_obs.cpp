@@ -1,8 +1,8 @@
 // Observability stack: metrics registry semantics, structured recorder
-// filtering + TraceLog mirroring, metrics snapshots from a scripted
-// hafnium run, the cycle-attribution profiler, the always-on flight
-// recorder, windowed metric aggregation, and the Chrome trace-event JSON
-// exporter (including a DOM-level Perfetto round trip).
+// filtering, metrics snapshots from a scripted hafnium run, the
+// cycle-attribution profiler, the always-on flight recorder, windowed
+// metric aggregation, and the Chrome trace-event JSON exporter (including
+// a DOM-level Perfetto round trip).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -23,7 +23,6 @@
 #include "obs/profiler.h"
 #include "obs/recorder.h"
 #include "obs/trace_export.h"
-#include "sim/trace.h"
 
 namespace hpcsec {
 namespace {
@@ -243,21 +242,6 @@ TEST(Recorder, SpanCarriesIntervalAndArgs) {
     EXPECT_EQ(e.core, 2);
     EXPECT_EQ(e.a0, 1);
     EXPECT_EQ(e.a1, 3);
-}
-
-TEST(Recorder, MirrorsIntoTraceLog) {
-    sim::TraceLog log;
-    log.enable(sim::TraceCat::kVm);
-    log.set_retain(true);
-
-    obs::SpanRecorder rec;
-    rec.set_mask(obs::to_mask(obs::Category::kAll));
-    rec.set_mirror(&log);
-    rec.instant(5, obs::EventType::kVmExit, 1, 2, 0, 1);
-    rec.instant(6, obs::EventType::kKernelTick, 0);  // kSched: not mirrored
-
-    EXPECT_EQ(log.count_matching("vm-exit"), 1u);
-    EXPECT_EQ(log.count_matching("kernel-tick"), 0u);
 }
 
 // --- scripted hafnium run ----------------------------------------------------

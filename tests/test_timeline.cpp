@@ -1,64 +1,79 @@
-// Timeline recorder tests: span accounting, window clamping, rendering,
-// executor integration, and the no-observer-effect guarantee.
+// Timeline renderer tests: span accounting, window clamping, rendering over
+// recorded events, executor span emission, and the no-observer-effect
+// guarantee.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/harness.h"
 #include "core/node.h"
-#include "sim/timeline.h"
+#include "obs/recorder.h"
+#include "obs/timeline.h"
 #include "workloads/nas.h"
 
 namespace hpcsec {
 namespace {
 
+using obs::EventType;
+
+obs::Event span(int core, sim::SimTime start, sim::SimTime end, EventType t) {
+    obs::Event e;
+    e.start = start;
+    e.end = end;
+    e.type = t;
+    e.core = static_cast<std::int16_t>(core);
+    return e;
+}
+
 TEST(Timeline, RecordsAndTotals) {
-    sim::Timeline t;
-    t.record(0, 100, 200, 'W', "app");
-    t.record(0, 200, 230, 'O', "kernel");
-    t.record(1, 0, 50, 'W', "app");
-    EXPECT_EQ(t.spans().size(), 3u);
-    EXPECT_EQ(t.total('W'), 150u);
-    EXPECT_EQ(t.total('W', 0), 100u);
-    EXPECT_EQ(t.total('O'), 30u);
+    const std::vector<obs::Event> ev = {
+        span(0, 100, 200, EventType::kWorkChunk),
+        span(0, 200, 230, EventType::kOverhead),
+        span(1, 0, 50, EventType::kWorkChunk),
+    };
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk), 150u);
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk, 0), 100u);
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kOverhead), 30u);
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kTlbRefill), 0u);
 }
 
 TEST(Timeline, TotalClampsToWindow) {
-    sim::Timeline t;
-    t.record(0, 100, 300, 'W', "app");
-    EXPECT_EQ(t.total('W', 0, 150, 250), 100u);
-    EXPECT_EQ(t.total('W', 0, 0, 100), 0u);
-    EXPECT_EQ(t.total('W', 0, 300, 400), 0u);
+    const std::vector<obs::Event> ev = {span(0, 100, 300, EventType::kWorkChunk)};
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk, 0, 150, 250), 100u);
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk, 0, 0, 100), 0u);
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk, 0, 300, 400), 0u);
 }
 
-TEST(Timeline, IgnoresEmptyAndRespectsCap) {
-    sim::Timeline t(2);
-    t.record(0, 10, 10, 'W', "empty");  // zero length dropped
-    EXPECT_TRUE(t.spans().empty());
-    t.record(0, 0, 1, 'W', "a");
-    t.record(0, 1, 2, 'W', "b");
-    t.record(0, 2, 3, 'W', "c");  // over cap
-    EXPECT_EQ(t.spans().size(), 2u);
-    EXPECT_TRUE(t.saturated());
+TEST(Timeline, IgnoresInstantsAndOtherTypes) {
+    const std::vector<obs::Event> ev = {
+        span(0, 10, 10, EventType::kWorkChunk),    // zero length: an instant
+        span(0, 0, 100, EventType::kKernelTick),   // not a timeline type
+        span(0, 0, 100, EventType::kVmRun),
+    };
+    EXPECT_EQ(obs::span_cycles(ev, EventType::kWorkChunk), 0u);
+    EXPECT_EQ(obs::render_timeline(ev, 0, 100, 1, 4), "core0 |....|\n");
 }
 
 TEST(Timeline, RenderShowsBusyAndIdle) {
-    sim::Timeline t;
-    t.record(0, 0, 500, 'W', "app");       // first half busy
-    const std::string s = t.render(0, 1000, 1, 10);
+    const std::vector<obs::Event> ev = {
+        span(0, 0, 500, EventType::kWorkChunk),  // first half busy
+    };
+    const std::string s = obs::render_timeline(ev, 0, 1000, 1, 10);
     EXPECT_NE(s.find("#####....."), std::string::npos);
 }
 
 TEST(Timeline, RenderHighlightsOverheadSlivers) {
-    sim::Timeline t;
-    t.record(0, 0, 1000, 'W', "app");
-    t.record(0, 400, 480, 'O', "tick");  // 8% of the strip, 80% of its bucket
-    const std::string s = t.render(0, 1000, 1, 10);
+    const std::vector<obs::Event> ev = {
+        span(0, 0, 1000, EventType::kWorkChunk),
+        span(0, 400, 480, EventType::kOverhead),  // 8% of the strip, 80% of its bucket
+    };
+    const std::string s = obs::render_timeline(ev, 0, 1000, 1, 10);
     EXPECT_NE(s.find('o'), std::string::npos);
 }
 
 TEST(Timeline, RenderTlbGlyph) {
-    sim::Timeline t;
-    t.record(0, 0, 100, 'T', "refill");
-    const std::string s = t.render(0, 100, 1, 4);
+    const std::vector<obs::Event> ev = {span(0, 0, 100, EventType::kTlbRefill)};
+    const std::string s = obs::render_timeline(ev, 0, 100, 1, 4);
     EXPECT_NE(s.find('t'), std::string::npos);
 }
 
@@ -66,8 +81,11 @@ TEST(Timeline, ExecutorEmitsWorkOverheadAndTransient) {
     sim::Engine engine;
     arch::PerfModel perf;
     arch::Executor ex(engine, perf, 0);
-    sim::Timeline t;
-    ex.set_timeline(&t);
+    obs::SpanRecorder rec;
+    rec.set_mask(obs::to_mask(obs::Category::kSched) |
+                 obs::to_mask(obs::Category::kWorkload) |
+                 obs::to_mask(obs::Category::kMmu));
+    ex.set_recorder(&rec);
 
     struct W : arch::Runnable {
         double rem = 1000;
@@ -88,29 +106,25 @@ TEST(Timeline, ExecutorEmitsWorkOverheadAndTransient) {
     ex.add_transient(50);
     ex.begin(&w);
     engine.run();
-    EXPECT_EQ(t.total('O'), 100u);
-    EXPECT_EQ(t.total('T'), 50u);
-    EXPECT_EQ(t.total('W'), 1000u);
+    EXPECT_EQ(obs::span_cycles(rec.events(), EventType::kOverhead), 100u);
+    EXPECT_EQ(obs::span_cycles(rec.events(), EventType::kTlbRefill), 50u);
+    EXPECT_EQ(obs::span_cycles(rec.events(), EventType::kWorkChunk), 1000u);
 }
 
 TEST(Timeline, AttachingNeverChangesTiming) {
     wl::WorkloadSpec spec = wl::nas_cg_spec();
     spec.units_per_thread_step /= 16;
 
-    auto run = [&](bool with_timeline) {
-        core::Node node(core::Harness::default_config(
-            core::SchedulerKind::kLinuxPrimary, 44));
+    auto run = [&](std::uint32_t obs_mask) {
+        core::NodeConfig cfg = core::Harness::default_config(
+            core::SchedulerKind::kLinuxPrimary, 44);
+        cfg.platform.obs_mask = obs_mask;
+        core::Node node(cfg);
         node.boot();
-        sim::Timeline t;
-        if (with_timeline) {
-            for (int c = 0; c < node.platform().ncores(); ++c) {
-                node.platform().core(c).exec().set_timeline(&t);
-            }
-        }
         wl::ParallelWorkload w(spec);
         return node.run_workload(w, 60.0);
     };
-    EXPECT_EQ(run(false), run(true));
+    EXPECT_EQ(run(0), run(obs::to_mask(obs::Category::kAll)));
 }
 
 }  // namespace
